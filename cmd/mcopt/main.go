@@ -9,6 +9,8 @@
 //	      [-bound cantelli|chebyshev2|vp|moment4]
 //	      [-cores 4] [-heuristic first-fit|best-fit|worst-fit]
 //	      [-out optimised.json] [-seed S] [-workers W] [-simulate horizon] [-runs R]
+//	      [-protocol system-level|task-level] [-release periodic|sporadic]
+//	      [-ci-eps E] [-events N]
 //	      [-http ADDR] [-metrics] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -bound swaps the concentration inequality the scheme optimises and
@@ -17,7 +19,9 @@
 // -workers parallelises the GA's fitness evaluations and the simulator
 // replications (default: one per CPU); results are identical for every
 // worker count. -runs replicates the -simulate run with independently
-// derived seeds and reports the means. -http ADDR serves live /metrics,
+// derived seeds and reports the means; -events N then replays replication
+// 0 of a single-core run and prints its per-task metrics and first N
+// schedule events. -http ADDR serves live /metrics,
 // /debug/pprof and /debug/vars for the run's duration; -metrics prints
 // the run's final counters as Prometheus-style text on exit.
 package main
@@ -44,6 +48,7 @@ import (
 	"chebymc/internal/partition"
 	"chebymc/internal/policy"
 	"chebymc/internal/prof"
+	"chebymc/internal/rng"
 	"chebymc/internal/sim"
 	"chebymc/internal/stats"
 	"chebymc/internal/texttable"
@@ -65,8 +70,8 @@ func main() {
 		workers   = flag.Int("workers", runtime.NumCPU(), "worker goroutines for the GA search and simulation (results are identical for any value)")
 		simulate  = flag.Float64("simulate", 0, "also run the EDF-VD simulator for this horizon (0 = skip)")
 		runs      = flag.Int("runs", 1, "simulator replications with derived seeds (with -simulate)")
-		batch     = flag.Int("batch", 0, "lockstep batch width for the simulator (0 = auto; results are identical for any value)")
 		ciEps     = flag.Float64("ci-eps", 0, "adaptive sampling: stop replicating once the 95% CI half-width on P_sys^MS drops to this (0 = run exactly -runs)")
+		events    = flag.Int("events", 0, "replay replication 0 (with -simulate, single core) and print its per-task metrics and first N schedule events (0 = skip)")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/pprof and /debug/vars on this address for the run's duration (e.g. :6060; :0 picks a free port)")
 		metrics   = flag.Bool("metrics", false, "print the run's final counters as Prometheus-style text on exit")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -94,7 +99,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "mcopt: serving /metrics and /debug/pprof on http://%s\n", srv.Addr())
 	}
-	runErr := run(ctx, *in, *polName, *n, *lambda, *bound, *cores, *heuristic, *protocol, *release, *out, *seed, *workers, *simulate, *runs, *batch, *ciEps)
+	runErr := run(ctx, *in, *polName, *n, *lambda, *bound, *cores, *heuristic, *protocol, *release, *out, *seed, *workers, *simulate, *runs, *events, *ciEps)
 	if *metrics && runErr == nil {
 		fmt.Print(artifact.MetricsText(obs.Default.Snapshot()))
 	}
@@ -107,7 +112,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, in, polName string, n, lambda float64, boundName string, cores int, heurName, protoName, relName, out string, seed int64, workers int, horizon float64, runs, batch int, ciEps float64) error {
+func run(ctx context.Context, in, polName string, n, lambda float64, boundName string, cores int, heurName, protoName, relName, out string, seed int64, workers int, horizon float64, runs, events int, ciEps float64) error {
 	if in == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -125,6 +130,12 @@ func run(ctx context.Context, in, polName string, n, lambda float64, boundName s
 	}
 	if cores < 1 {
 		return fmt.Errorf("-cores %d must be ≥ 1", cores)
+	}
+	if events < 0 || events > 0 && (horizon <= 0 || cores > 1) {
+		return fmt.Errorf("-events %d must be ≥ 0 and needs -simulate on a single core", events)
+	}
+	if runs < 1 {
+		runs = 1
 	}
 	heur, err := partition.HeuristicByName(heurName)
 	if err != nil {
@@ -189,43 +200,23 @@ func run(ctx context.Context, in, polName string, n, lambda float64, boundName s
 	fmt.Print(tb.String())
 	fmt.Printf("\nP_sys^MS <= %.4f   max U_LC^LO = %.4f   objective = %.4f\n",
 		a.PMS, a.MaxULCLO, a.Objective)
-	an := edfvd.Schedulable(a.TaskSet)
-	fmt.Printf("EDF-VD: %s\n", an)
+	fmt.Printf("EDF-VD: %s\n", edfvd.Schedulable(a.TaskSet))
 
 	if horizon > 0 {
-		exec := make(map[int]dist.Dist)
-		for _, t := range a.TaskSet.Tasks {
-			if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-				continue
-			}
-			d, derr := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-			if derr != nil {
-				continue
-			}
-			exec[t.ID] = d
-		}
-		if runs < 1 {
-			runs = 1
-		}
-		cfg := sim.Defaults()
-		cfg.Horizon = horizon
-		cfg.Exec = exec
-		cfg.Seed = seed
-		cfg.Protocol = proto
-		cfg.Release = relModel
+		cfg := simConfig(a.TaskSet, horizon, seed, proto, relModel)
 		if ciEps > 0 {
 			// Adaptive mode: spend replications only until the mode-switch
 			// estimate is pinned to the requested precision.
 			res, serr := mlmc.AdaptiveAlloc(ctx, a.TaskSet, cfg,
 				func(m sim.Metrics) bool { return m.ModeSwitches > 0 },
-				mlmc.AdaptiveOptions{Eps: ciEps, MaxRuns: runs, Batch: batch, Workers: workers})
+				mlmc.AdaptiveOptions{Eps: ciEps, MaxRuns: runs, Workers: workers})
 			if serr != nil {
 				return serr
 			}
 			fmt.Printf("Simulated %g time units, adaptive: P[mode switch]=%.4f ±%.4f (95%% CI), spent %d of %d runs (saved %d)\n",
 				horizon, res.PHat, res.HalfWidth, res.Runs, runs, res.Saved)
 		} else {
-			ms, serr := sim.ReplicateBatchCtx(ctx, a.TaskSet, cfg, runs, workers, batch)
+			ms, serr := sim.ReplicateBatchCtx(ctx, a.TaskSet, cfg, runs, workers)
 			if serr != nil {
 				return serr
 			}
@@ -233,12 +224,15 @@ func run(ctx context.Context, in, polName string, n, lambda float64, boundName s
 			fmt.Printf("Simulated %g time units × %d runs: mean switches=%.1f overrun-rate=%.4f HC-misses=%d LC-service=%.3f util=%.3f\n",
 				horizon, sum.Runs, sum.MeanModeSwitches, sum.MeanOverrunRate, sum.TotalHCMisses, sum.MeanLCServiceRate, sum.MeanUtilisation)
 		}
+		if events > 0 {
+			if err := replayFirst(a.TaskSet, cfg, events); err != nil {
+				return err
+			}
+		}
 	}
 
 	if out != "" {
-		if err := writeAssignedSet(out, a.TaskSet); err != nil {
-			return err
-		}
+		return writeAssignedSet(out, a.TaskSet)
 	}
 	return nil
 }
@@ -293,26 +287,7 @@ func runMulticore(ctx context.Context, ts *mc.TaskSet, pol policy.Policy, cores 
 		a.PMS, a.MaxULCLO, a.Objective, a.Schedulable, a.CoresUsed(), cores)
 
 	if horizon > 0 {
-		exec := make(map[int]dist.Dist)
-		for _, t := range a.TaskSet.Tasks {
-			if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-				continue
-			}
-			d, derr := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-			if derr != nil {
-				continue
-			}
-			exec[t.ID] = d
-		}
-		if runs < 1 {
-			runs = 1
-		}
-		scfg := sim.Defaults()
-		scfg.Horizon = horizon
-		scfg.Exec = exec
-		scfg.Seed = seed
-		scfg.Protocol = proto
-		scfg.Release = relModel
+		scfg := simConfig(a.TaskSet, horizon, seed, proto, relModel)
 		ms, serr := sim.ReplicateSystemCtx(ctx, a.CoreSets(), scfg, runs, workers)
 		if serr != nil {
 			return serr
@@ -324,6 +299,63 @@ func runMulticore(ctx context.Context, ts *mc.TaskSet, pol policy.Policy, cores 
 
 	if out != "" {
 		return writeAssignedSet(out, a.TaskSet)
+	}
+	return nil
+}
+
+// simConfig is the -simulate configuration for an assigned task set: HC
+// tasks with a profile draw truncated-normal execution times capped at
+// C^HI, every other job runs its budget.
+func simConfig(ts *mc.TaskSet, horizon float64, seed int64, proto sim.Protocol, rel sim.ReleaseModel) sim.Config {
+	cfg := sim.Defaults()
+	cfg.Horizon = horizon
+	cfg.Seed = seed
+	cfg.Protocol = proto
+	cfg.Release = rel
+	cfg.Exec = make(map[int]dist.Dist)
+	for _, t := range ts.Tasks {
+		if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
+			continue
+		}
+		if d, err := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI); err == nil {
+			cfg.Exec[t.ID] = d
+		}
+	}
+	return cfg
+}
+
+// replayFirst re-simulates replication 0 of a -simulate run (seed
+// rng.Derive(cfg.Seed, 0), as every replicator numbers it) on one
+// Simulator that logs its first n events, and prints the run's per-task
+// metrics and those events.
+func replayFirst(ts *mc.TaskSet, cfg sim.Config, n int) error {
+	cfg.Seed = rng.Derive(cfg.Seed, 0)
+	cfg.MaxEvents = n
+	s, err := sim.New(ts, cfg)
+	if err != nil {
+		return err
+	}
+	s.Run()
+	tb := texttable.New("\nPer-task metrics (replication 0)",
+		"task", "crit", "released", "completed", "misses", "dropped", "overrun%", "mean resp", "max resp")
+	for _, tm := range s.PerTask() {
+		tb.AddRow(
+			fmt.Sprintf("%d", tm.ID),
+			tm.Crit.String(),
+			fmt.Sprintf("%d", tm.Released),
+			fmt.Sprintf("%d", tm.Completed),
+			fmt.Sprintf("%d", tm.Misses),
+			fmt.Sprintf("%d", tm.Dropped),
+			fmt.Sprintf("%.2f", 100*tm.OverrunRate()),
+			fmt.Sprintf("%.3g", tm.MeanResponse()),
+			fmt.Sprintf("%.3g", tm.MaxResponse),
+		)
+	}
+	fmt.Print(tb.String())
+	evs := s.Events()
+	fmt.Printf("\nFirst %d schedule events:\n", len(evs))
+	for _, e := range evs {
+		fmt.Println("  " + e.String())
 	}
 	return nil
 }

@@ -89,24 +89,6 @@ func TestModesWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestModesBatchInvariance pins the checkpoint-key contract: the lockstep
-// width changes nothing, so it must stay out of the key.
-func TestModesBatchInvariance(t *testing.T) {
-	cfg := modesSmoke()
-	base, err := RunModes(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Batch = 4
-	other, err := RunModes(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Axes, other.Axes) {
-		t.Error("modes sweep depends on lockstep width")
-	}
-}
-
 // TestModesCheckpointResume pins the -resume contract: a second run over
 // an existing checkpoint directory reuses every point and reproduces both
 // the result and the checkpoint bytes exactly.

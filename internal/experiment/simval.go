@@ -30,8 +30,8 @@ import (
 // The scenario doubles as the adaptive-sampling showcase: with CIEps > 0
 // each (point, set) cell replicates only until the Wilson 95% interval
 // on its estimate is tight enough, and the table reports how much of the
-// fixed budget was never spent. Estimates are batch-width-invariant, so
-// checkpoints written at any -batch setting are byte-identical; the
+// fixed budget was never spent. Estimates are worker-count-invariant,
+// so checkpoints written at any -workers setting are byte-identical; the
 // tolerance enters the checkpoint key only when enabled, so default-run
 // checkpoints keep their historical keys.
 
@@ -52,10 +52,6 @@ type SimValConfig struct {
 	// CIEps is the adaptive stopping tolerance (Wilson 95% half-width);
 	// 0 runs the full budget (the checkpoint-stable default).
 	CIEps float64
-	// Batch is the lockstep width handed to the simulator (≤ 0 for the
-	// engine default). Never part of the checkpoint key: results are
-	// width-invariant.
-	Batch int
 	// Seed seeds generation; Workers bounds sweep parallelism (results
 	// are identical for every value).
 	Seed    int64
@@ -120,9 +116,9 @@ func RunSimValCtx(ctx context.Context, cfg SimValConfig, eo EngOpts) (*SimVal, e
 	cfg = cfg.withDefaults()
 
 	// The tolerance folds into the key only when enabled, keeping every
-	// historical (eps-less) checkpoint valid; the batch width never
-	// does — estimates are width-invariant, and CI asserts as much by
-	// diffing checkpoints across -batch settings.
+	// historical (eps-less) checkpoint valid. Estimates are
+	// worker-invariant, and CI asserts as much by diffing checkpoints
+	// across -workers settings.
 	epsKey := ""
 	if cfg.CIEps > 0 {
 		epsKey = fmt.Sprintf(" eps=%g", cfg.CIEps)
@@ -183,7 +179,6 @@ func RunSimValCtx(ctx context.Context, cfg SimValConfig, eo EngOpts) (*SimVal, e
 			res, err := mlmc.AdaptiveAlloc(ctx, a.TaskSet, scfg, func(m sim.Metrics) bool { return m.Overruns > 0 }, mlmc.AdaptiveOptions{
 				Eps:     cfg.CIEps,
 				MaxRuns: cfg.Runs,
-				Batch:   cfg.Batch,
 				Workers: 1, // the sweep already parallelises across items
 			})
 			if err != nil {

@@ -34,8 +34,6 @@ var (
 		"genome scores recomputed from scratch")
 	obsDeltaEvals = obs.Default.Counter("ga_delta_evals_total",
 		"genome scores recomputed incrementally from a parent's state")
-	obsBestObjective = obs.Default.Gauge("ga_best_objective",
-		"best fitness of the most recently completed GA run")
 )
 
 // Bound is the closed interval [Lo, Hi] a gene may take.
@@ -420,7 +418,6 @@ func RunCtx(ctx context.Context, p Problem, cfg Config) (Result, error) {
 	obsMemoHits.Add(res.MemoHits)
 	obsFullEvals.Add(res.FullEvals)
 	obsDeltaEvals.Add(res.DeltaEvals)
-	obsBestObjective.Set(res.BestFitness)
 	return res, nil
 }
 

@@ -42,14 +42,9 @@ type AdaptiveOptions struct {
 	// MinRuns is the floor before the stopping rule is consulted, so a
 	// lucky early streak cannot truncate the estimate. Default 64.
 	MinRuns int
-	// Step is the number of replications added per growth round. It is
-	// deliberately independent of the simulation batch width: the spend
-	// sequence (and therefore the estimate) is identical at every -batch
-	// setting. Default 64.
+	// Step is the number of replications added per growth round.
+	// Default 64.
 	Step int
-	// Batch is the lockstep width handed to the simulator (≤ 0 for the
-	// engine default).
-	Batch int
 	// Workers bounds simulation parallelism (≤ 0 for 1).
 	Workers int
 }
@@ -115,7 +110,7 @@ func AdaptiveAlloc(ctx context.Context, ts *mc.TaskSet, cfg sim.Config, pred fun
 
 	var res AdaptiveResult
 	grow := func(from, to int) error {
-		return sim.ReplicateInto(ctx, ts, cfg, from, to, opt.Workers, opt.Batch, func(_ int, m sim.Metrics) {
+		return sim.ReplicateInto(ctx, ts, cfg, from, to, opt.Workers, func(_ int, m sim.Metrics) {
 			if pred(m) {
 				res.Hits++
 			}

@@ -76,7 +76,7 @@ func TestAdaptiveAllocConverges(t *testing.T) {
 
 	// The first Runs replications are the same simulations a fixed-count
 	// call performs: recompute the estimate independently.
-	ms, err := sim.ReplicateBatchCtx(ctx, ts, cfg, res.Runs, 4, 0)
+	ms, err := sim.ReplicateBatchCtx(ctx, ts, cfg, res.Runs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,25 +94,24 @@ func TestAdaptiveAllocConverges(t *testing.T) {
 	}
 }
 
-// TestAdaptiveAllocWidthInvariance pins the batch-width independence of
-// the spend sequence: identical results at every lockstep width.
-func TestAdaptiveAllocWidthInvariance(t *testing.T) {
+// TestAdaptiveAllocWorkerInvariance pins the worker-count independence
+// of the spend sequence: identical results at every worker count.
+func TestAdaptiveAllocWorkerInvariance(t *testing.T) {
 	ts, cfg := adaptiveFixture(t)
 	ctx := context.Background()
-	opt := AdaptiveOptions{Eps: 0.05, MaxRuns: 5000, Workers: 3}
+	opt := AdaptiveOptions{Eps: 0.05, MaxRuns: 5000, Workers: 1}
 	base, err := AdaptiveAlloc(ctx, ts, cfg, overran, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{1, 7, 32, 500} {
-		o := opt
-		o.Batch = batch
-		got, err := AdaptiveAlloc(ctx, ts, cfg, overran, o)
+	for _, workers := range []int{2, 3, 8} {
+		opt.Workers = workers
+		got, err := AdaptiveAlloc(ctx, ts, cfg, overran, opt)
 		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got != base {
-			t.Fatalf("batch=%d: %+v != %+v", batch, got, base)
+			t.Fatalf("workers=%d: %+v != %+v", workers, got, base)
 		}
 	}
 }

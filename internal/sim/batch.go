@@ -49,23 +49,30 @@ import (
 	"chebymc/internal/rng"
 )
 
-// DefaultBatchWidth is the lockstep width ReplicateBatchCtx and
-// ReplicateInto use when the caller passes batch ≤ 0. Wide enough to
-// amortise the shared skeleton walk, small enough that a batch's SoA
-// working set stays cache-resident for paper-sized task sets.
-const DefaultBatchWidth = 32
+// defaultBatchWidth is the lockstep width of ReplicateBatchCtx and
+// ReplicateInto. Wide enough to amortise the shared skeleton walk, small
+// enough that a batch's SoA working set stays cache-resident for
+// paper-sized task sets. Results are identical at every width, so it is
+// not a caller's choice; the tests and benchmarks vary it through
+// replicateBatch and replicateInto.
+const defaultBatchWidth = 32
 
 // ReplicateBatchCtx is ReplicateCtx on the batch-lockstep engine: the
 // same task set and configuration simulated runs times with per-run
-// derived seeds, returning metrics in run order. batch selects the
-// lockstep width (≤ 0 for DefaultBatchWidth); the result is
-// bit-identical to ReplicateCtx for every batch and workers value.
-func ReplicateBatchCtx(ctx context.Context, ts *mc.TaskSet, cfg Config, runs, workers, batch int) ([]Metrics, error) {
+// derived seeds, returning metrics in run order, bit-identical to
+// ReplicateCtx for every workers value.
+func ReplicateBatchCtx(ctx context.Context, ts *mc.TaskSet, cfg Config, runs, workers int) ([]Metrics, error) {
+	return replicateBatch(ctx, ts, cfg, runs, workers, defaultBatchWidth)
+}
+
+// replicateBatch is ReplicateBatchCtx at lockstep width batch (≤ 0 for
+// defaultBatchWidth).
+func replicateBatch(ctx context.Context, ts *mc.TaskSet, cfg Config, runs, workers, batch int) ([]Metrics, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("sim: need runs ≥ 1, got %d", runs)
 	}
 	out := make([]Metrics, runs)
-	if err := ReplicateInto(ctx, ts, cfg, 0, runs, workers, batch, func(run int, m Metrics) {
+	if err := replicateInto(ctx, ts, cfg, 0, runs, workers, batch, func(run int, m Metrics) {
 		out[run] = m
 	}); err != nil {
 		return nil, err
@@ -81,7 +88,13 @@ func ReplicateBatchCtx(ctx context.Context, ts *mc.TaskSet, cfg Config, runs, wo
 // accumulation) never materialise a runs-sized []Metrics, and adaptive
 // allocators extend a prefix [0, n) incrementally by calling it again
 // with from = n.
-func ReplicateInto(ctx context.Context, ts *mc.TaskSet, cfg Config, from, to, workers, batch int, fold func(run int, m Metrics)) error {
+func ReplicateInto(ctx context.Context, ts *mc.TaskSet, cfg Config, from, to, workers int, fold func(run int, m Metrics)) error {
+	return replicateInto(ctx, ts, cfg, from, to, workers, defaultBatchWidth, fold)
+}
+
+// replicateInto is ReplicateInto at lockstep width batch (≤ 0 for
+// defaultBatchWidth).
+func replicateInto(ctx context.Context, ts *mc.TaskSet, cfg Config, from, to, workers, batch int, fold func(run int, m Metrics)) error {
 	if from < 0 || to < from {
 		return fmt.Errorf("sim: bad replication range [%d, %d)", from, to)
 	}
@@ -108,7 +121,7 @@ func ReplicateInto(ctx context.Context, ts *mc.TaskSet, cfg Config, from, to, wo
 	}
 	width := batch
 	if width <= 0 {
-		width = DefaultBatchWidth
+		width = defaultBatchWidth
 	}
 	if n := to - from; width > n {
 		width = n

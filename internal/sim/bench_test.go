@@ -149,7 +149,7 @@ func BenchmarkReplicateBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1, width); err != nil {
+				if _, err := replicateBatch(ctx, ts, cfg, runs, 1, width); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,7 +224,7 @@ func BenchmarkReplicateTaskLevel(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1, 32); err != nil {
+		if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func BenchmarkReplicateSporadic(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1, 32); err != nil {
+		if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ func assertBatchEqual(t *testing.T, ts *mc.TaskSet, cfg Config, runs int) {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 4, 32, runs} {
-		got, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 4, batch)
+		got, err := replicateBatch(ctx, ts, cfg, runs, 4, batch)
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
@@ -156,13 +156,13 @@ func TestBatchWidthInvariance(t *testing.T) {
 	cfg := Config{Horizon: 20000, Exec: batchGoldenExec(t, ts), Seed: 42}
 	ctx := context.Background()
 	const runs = 37
-	want, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1, runs)
+	want, err := replicateBatch(ctx, ts, cfg, runs, 1, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 2, 3, 5, 8, 16, 64} {
 		for _, workers := range []int{1, 3} {
-			got, err := ReplicateBatchCtx(ctx, ts, cfg, runs, workers, batch)
+			got, err := replicateBatch(ctx, ts, cfg, runs, workers, batch)
 			if err != nil {
 				t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
 			}
@@ -174,7 +174,7 @@ func TestBatchWidthInvariance(t *testing.T) {
 		}
 	}
 	// Default width (batch ≤ 0) is the same computation.
-	got, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 2, 0)
+	got, err := replicateBatch(ctx, ts, cfg, runs, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestReplicateInto(t *testing.T) {
 	}
 
 	next := 5
-	err = ReplicateInto(ctx, ts, cfg, 5, 24, 3, 7, func(run int, m Metrics) {
+	err = replicateInto(ctx, ts, cfg, 5, 24, 3, 7, func(run int, m Metrics) {
 		if run != next {
 			t.Fatalf("fold out of order: got run %d, want %d", run, next)
 		}
@@ -214,15 +214,15 @@ func TestReplicateInto(t *testing.T) {
 		t.Fatalf("fold stopped at run %d, want 24", next)
 	}
 
-	if err := ReplicateInto(ctx, ts, cfg, 3, 3, 1, 1, func(int, Metrics) {
+	if err := replicateInto(ctx, ts, cfg, 3, 3, 1, 1, func(int, Metrics) {
 		t.Fatal("fold called on empty range")
 	}); err != nil {
 		t.Fatalf("empty range: %v", err)
 	}
-	if err := ReplicateInto(ctx, ts, cfg, -1, 3, 1, 1, nil); err == nil {
+	if err := replicateInto(ctx, ts, cfg, -1, 3, 1, 1, nil); err == nil {
 		t.Fatal("negative from accepted")
 	}
-	if err := ReplicateInto(ctx, ts, cfg, 5, 4, 1, 1, nil); err == nil {
+	if err := replicateInto(ctx, ts, cfg, 5, 4, 1, 1, nil); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }

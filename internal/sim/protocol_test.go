@@ -85,7 +85,7 @@ func TestExplicitAxesBatchWidths(t *testing.T) {
 	explicit.Protocol = SystemLevel
 	explicit.Release = Periodic{}
 	for _, width := range []int{1, 4, 32, runs} {
-		got, err := ReplicateBatchCtx(t.Context(), ts, explicit, runs, 3, width)
+		got, err := replicateBatch(t.Context(), ts, explicit, runs, 3, width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestNonDefaultAxesDelegateBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, width := range []int{1, 5, runs} {
-				got, err := ReplicateBatchCtx(t.Context(), ts, v, runs, 3, width)
+				got, err := replicateBatch(t.Context(), ts, v, runs, 3, width)
 				if err != nil {
 					t.Fatal(err)
 				}
