@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"net/http"
@@ -27,7 +28,9 @@ import (
 // artifacts and the API without translation. Every knob that steers the
 // computation is part of the canonical digest (digest.go); NoCache is
 // deliberately not — it changes where the answer comes from, never what
-// it is.
+// it is. decode.go's fast decoder names every member by hand: a member
+// it does not know sends the body to json.Unmarshal, so a new field is
+// decoded correctly before it is added there, only more slowly.
 type assignRequest struct {
 	Tasks []mc.Task `json:"tasks"`
 	// Policy selects the assignment scheme: "ga" (default), "uniform",
@@ -91,6 +94,8 @@ type gaKnobs struct {
 // has no literal for as strings. The n vector legitimately contains +Inf
 // (a σ = 0 task under a λ policy: any budget above the deterministic ACET
 // can never be overrun), so the response encoder must not reject it.
+// The assign responses go through encode.go, which renders jsonFloat the
+// same way; MarshalJSON serves /v1/fit and the encoder's reference test.
 type jsonFloat float64
 
 func (f jsonFloat) MarshalJSON() ([]byte, error) {
@@ -118,7 +123,9 @@ type edfvdJSON struct {
 // marshaled once per digest and spliced verbatim into every response
 // envelope — which is what makes cold, cached and post-restart responses
 // byte-identical. Cores is only present for multicore assignments, so
-// single-core responses keep their historical byte layout.
+// single-core responses keep their historical byte layout. encode.go
+// renders this type and coreJSON by hand, as json.Marshal would; a new
+// field goes in both places (TestEncodeAssignmentMatchesMarshal).
 type assignmentJSON struct {
 	Policy    string      `json:"policy"`
 	NS        []jsonFloat `json:"ns"`
@@ -208,7 +215,7 @@ func marshalAssignment(policyName string, a core.Assignment, an edfvd.Analysis, 
 		},
 	}
 	axes.stamp(&aj)
-	return json.Marshal(aj)
+	return encodeAssignment(&aj)
 }
 
 // marshalSystemAssignment renders a multicore assignment. The top level
@@ -272,7 +279,7 @@ func marshalSystemAssignment(policyName string, a *multicore.Assignment, axes mo
 		EDFVD: sys, Cores: cores,
 	}
 	axes.stamp(&aj)
-	return json.Marshal(aj)
+	return encodeAssignment(&aj)
 }
 
 // normalizeTasks fills the request-side conveniences: an HC task's C^LO
@@ -367,6 +374,57 @@ func (s *Service) resolveCores(req *assignRequest) (int, partition.Heuristic, *a
 	return cores, h, nil
 }
 
+// assignCall is a decoded, validated assign request: the request, its
+// task set and resolved knobs, and its canonical L2 key.
+type assignCall struct {
+	req   assignRequest
+	ts    *mc.TaskSet
+	pol   policy.Policy
+	cores int
+	heur  partition.Heuristic
+	axes  modeAxes
+	key   []byte
+}
+
+// parseAssign decodes and validates an assign body. Bodies inside
+// decodeAssignFast's subset skip encoding/json; every other body is
+// decoded by json.Unmarshal, which decides its value or its 400, so
+// both paths answer identically.
+func (s *Service) parseAssign(body []byte) (assignCall, *apiError) {
+	var c assignCall
+	req := &c.req
+	if !decodeAssignFast(body, req) {
+		*req = assignRequest{}
+		if err := json.Unmarshal(body, req); err != nil {
+			return c, errBadJSON(err)
+		}
+	}
+	normalizeTasks(req.Tasks)
+	ts, err := mc.NewTaskSet(req.Tasks)
+	if err != nil {
+		return c, errInvalidTaskSet(err)
+	}
+	bound, err := stats.BoundByName(req.Bound)
+	if err != nil {
+		return c, errUnknownBound(err)
+	}
+	pol, aerr := s.resolvePolicy(req, bound)
+	if aerr != nil {
+		return c, aerr
+	}
+	cores, heur, aerr := s.resolveCores(req)
+	if aerr != nil {
+		return c, aerr
+	}
+	axes, aerr := resolveModes(req)
+	if aerr != nil {
+		return c, aerr
+	}
+	c.ts, c.pol, c.cores, c.heur, c.axes = ts, pol, cores, heur, axes
+	c.key = assignKey(req, ts, bound, cores, heur, axes)
+	return c, nil
+}
+
 // handleAssign is POST /v1/assign. The path ordering is the performance
 // story: L1 (raw bytes) before decoding, L2 (canonical digest) after, the
 // admission gate and single-flight only in front of actual compute.
@@ -388,50 +446,23 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 
 	var l1hash uint64
 	if s.l1 != nil {
-		l1hash = fnv64(body)
+		l1hash = maphash.Bytes(s.l1seed, body)
 		if e, ok := s.l1.get(l1hash, body); ok {
 			s.respondAssign(w, e, "hit", span)
 			return
 		}
 	}
 
-	var req assignRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, errBadJSON(err))
-		return
-	}
-	normalizeTasks(req.Tasks)
-	ts, err := mc.NewTaskSet(req.Tasks)
-	if err != nil {
-		s.fail(w, errInvalidTaskSet(err))
-		return
-	}
-	bound, err := stats.BoundByName(req.Bound)
-	if err != nil {
-		s.fail(w, errUnknownBound(err))
-		return
-	}
-	pol, aerr := s.resolvePolicy(&req, bound)
-	if aerr != nil {
-		s.fail(w, aerr)
-		return
-	}
-	cores, heur, aerr := s.resolveCores(&req)
-	if aerr != nil {
-		s.fail(w, aerr)
-		return
-	}
-	axes, aerr := resolveModes(&req)
+	c, aerr := s.parseAssign(body)
 	if aerr != nil {
 		s.fail(w, aerr)
 		return
 	}
 
-	key := assignKey(&req, ts, bound, cores, heur, axes)
-	hash := fnv64(key)
-	cached := !req.NoCache && s.l2 != nil
+	hash := fnv64(c.key)
+	cached := !c.req.NoCache && s.l2 != nil
 	if cached {
-		if e, ok := s.l2.get(hash, key); ok {
+		if e, ok := s.l2.get(hash, c.key); ok {
 			s.l1.put(l1hash, body, e)
 			s.respondAssign(w, e, "hit", span)
 			return
@@ -440,6 +471,7 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 
 	var e *entry
 	var shared bool
+	var err error
 	if cached {
 		// Single-flight only matters when the result will be shared — and
 		// a shared compute must not inherit the leader's request context:
@@ -449,11 +481,11 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 		// let computeAssign's own deadline bound the work; the finished
 		// result lands in the cache either way.
 		cctx := context.WithoutCancel(r.Context())
-		e, shared, err = s.flights.do(key, func() (*entry, error) {
-			return s.computeAssign(cctx, &req, ts, pol, cores, heur, axes, hash, key)
+		e, shared, err = s.flights.do(c.key, func() (*entry, error) {
+			return s.computeAssign(cctx, &c, hash, true)
 		})
 	} else {
-		e, err = s.computeAssign(r.Context(), &req, ts, pol, cores, heur, axes, hash, nil)
+		e, err = s.computeAssign(r.Context(), &c, hash, false)
 	}
 	if err != nil {
 		s.fail(w, err)
@@ -474,9 +506,9 @@ func (s *Service) handleAssign(w http.ResponseWriter, r *http.Request) {
 // the (deterministically seeded) policy run, EDF-VD analysis, and one
 // marshal of the result. The deadline context reaches the GA through
 // policy.AssignCtx, so an expired request abandons its search within one
-// generation instead of burning a slot to completion. A non-nil key
-// stores the result in the L2 cache under (hash, key).
-func (s *Service) computeAssign(ctx context.Context, req *assignRequest, ts *mc.TaskSet, pol policy.Policy, cores int, heur partition.Heuristic, axes modeAxes, hash uint64, key []byte) (*entry, error) {
+// generation instead of burning a slot to completion. store puts the
+// result in the L2 cache under (hash, c.key).
+func (s *Service) computeAssign(ctx context.Context, c *assignCall, hash uint64, store bool) (*entry, error) {
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.Deadline)
 	defer cancel()
 	if err := s.gate.acquire(cctx); err != nil {
@@ -490,10 +522,10 @@ func (s *Service) computeAssign(ctx context.Context, req *assignRequest, ts *mc.
 	defer s.gate.release()
 
 	var body []byte
-	if cores <= 1 {
+	if c.cores <= 1 {
 		// The single-core path calls the policy exactly as it always has,
 		// so every historical response stays byte-identical.
-		a, err := policy.AssignCtx(cctx, pol, ts, rand.New(rand.NewSource(req.Seed)))
+		a, err := policy.AssignCtx(cctx, c.pol, c.ts, rand.New(&lazySource{seed: c.req.Seed}))
 		if err != nil {
 			if cctx.Err() != nil {
 				return nil, errDeadline()
@@ -501,21 +533,21 @@ func (s *Service) computeAssign(ctx context.Context, req *assignRequest, ts *mc.
 			return nil, errInfeasible(err)
 		}
 		an := edfvd.Schedulable(a.TaskSet)
-		if axes.sporadic() {
+		if c.axes.sporadic() {
 			// Sporadic verdict: the demand-bound test, a strict superset
 			// of Eq. 8 (never rejects a set Eq. 8 accepts).
 			an = dbf.DemandTest{}.Analyze(a.TaskSet)
 		}
-		body, err = marshalAssignment(pol.Name(), a, an, axes)
+		body, err = marshalAssignment(c.pol.Name(), a, an, c.axes)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		sys, err := multicore.New(multicore.Config{Cores: cores, Heuristic: heur, Policy: pol, Workers: 1})
+		sys, err := multicore.New(multicore.Config{Cores: c.cores, Heuristic: c.heur, Policy: c.pol, Workers: 1})
 		if err != nil {
 			return nil, err
 		}
-		a, err := sys.AssignCtx(cctx, ts, rand.New(rand.NewSource(req.Seed)))
+		a, err := sys.AssignCtx(cctx, c.ts, rand.New(&lazySource{seed: c.req.Seed}))
 		if err != nil {
 			if cctx.Err() != nil {
 				return nil, errDeadline()
@@ -524,17 +556,38 @@ func (s *Service) computeAssign(ctx context.Context, req *assignRequest, ts *mc.
 			// search failures are both "valid request, no assignment".
 			return nil, errInfeasible(err)
 		}
-		body, err = marshalSystemAssignment(pol.Name(), &a, axes)
+		body, err = marshalSystemAssignment(c.pol.Name(), &a, c.axes)
 		if err != nil {
 			return nil, err
 		}
 	}
 	e := &entry{digestHex: digestHex(hash), body: body}
-	if key != nil {
-		s.l2.put(hash, key, e)
+	if store {
+		s.l2.put(hash, c.key, e)
 	}
 	return e, nil
 }
+
+// lazySource is the request's math/rand source, seeded on its first
+// draw. Seeding rand.NewSource fills a 607-word state, which costs more
+// than a whole uniform-policy assignment — and the uniform, lambda and
+// acet policies never draw. A policy that does draw sees the sequence
+// rand.NewSource(seed) yields.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // respondAssign splices the envelope around the cached assignment bytes
 // from pooled scratch — the hit path allocates nothing per request beyond

@@ -16,21 +16,22 @@ type entry struct {
 	body      []byte
 }
 
-// cacheShards must be a power of two. FNV-1a mixes well into the low
-// bits, so the shard index is just a mask. 16 shards keeps lock
-// contention negligible at 100k+ lookups/s while costing four pointers
-// of fixed overhead per cache.
+// cacheShards must be a power of two. Both locator hashes (FNV-1a and
+// maphash) mix well into the low bits, so the shard index is just a
+// mask. 16 shards keeps lock contention negligible at 100k+ lookups/s
+// while costing four pointers of fixed overhead per cache.
 const cacheShards = 16
 
 // cache is a sharded, size-bounded LRU from key byte strings to entries,
-// addressed by the key's 64-bit FNV-1a hash. The hash only locates the
-// shard and map slot; a hit also compares the stored key bytes, so a
-// hash collision reads as a miss rather than another key's value (see
-// digest.go). Each shard serialises on its own mutex; a Get bumps
-// recency inside the shard lock (a pointer splice, no allocation). The
-// capacity is split evenly across shards, so the bound is exact per
-// shard and ±shards in aggregate — the usual sharded-LRU tradeoff,
-// irrelevant at the tens of thousands of entries the daemon runs with.
+// addressed by a 64-bit hash of the key that the caller supplies. The
+// hash only locates the shard and map slot; a hit also compares the
+// stored key bytes, so a hash collision reads as a miss rather than
+// another key's value (see digest.go). Each shard serialises on its own
+// mutex; a Get bumps recency inside the shard lock (a pointer splice, no
+// allocation). The capacity is split evenly across shards, so the bound
+// is exact per shard and ±shards in aggregate — the usual sharded-LRU
+// tradeoff, irrelevant at the tens of thousands of entries the daemon
+// runs with.
 type cache struct {
 	shards [cacheShards]lruShard
 
@@ -76,7 +77,7 @@ func newCache(capacity int, prefix string) *cache {
 	return c
 }
 
-// get returns the cached entry for key (hash must be fnv64(key)) and
+// get returns the cached entry for key (hash is its locator hash) and
 // bumps its recency. A node whose stored key differs — a 64-bit hash
 // collision — is a miss.
 func (c *cache) get(hash uint64, key []byte) (*entry, bool) {

@@ -132,12 +132,12 @@ func assignKey(req *assignRequest, ts *mc.TaskSet, bound stats.Bound, cores int,
 	return d.buf
 }
 
-// fnv64 is FNV-1a over b: the cache's shard-and-slot selector. For the
-// L1 it runs over the raw request bytes (the handler is a pure function
-// of the body given fixed server configuration, so identical bytes may
-// be answered without even decoding — the sub-microsecond hot path); for
-// the L2 it runs over the canonical key from assignKey. Either way it is
-// only a locator — the hit path compares the stored key bytes.
+// fnv64 is FNV-1a over b: the L2 cache's shard-and-slot selector over
+// the canonical key from assignKey, and the digest every response
+// envelope prints, so it must stay stable across restarts and builds.
+// It is only a locator — the hit path compares the stored key bytes.
+// (The L1 locates raw bodies by hash/maphash instead: its keys never
+// leave the process.)
 func fnv64(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {

@@ -14,9 +14,11 @@
 //     digest.go): re-serialised, re-ordered or re-formatted repeats of
 //     the same logical query collide here after one decode.
 //
-// Either level addresses its entries by a 64-bit FNV-1a hash but
-// verifies every hit against the stored key bytes, so a hash collision
-// is a miss — never another request's cached verdict.
+// Either level addresses its entries by a 64-bit hash (L1 by
+// hash/maphash under a per-Service seed, L2 by FNV-1a, whose digest
+// every response envelope prints) but verifies every hit against the
+// stored key bytes, so a hash collision is a miss — never another
+// request's cached verdict.
 //
 // Both levels are sharded, size-bounded LRUs storing the *marshaled*
 // assignment bytes, so a hit never re-encodes — and a cold, cached or
@@ -36,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"runtime"
@@ -113,7 +116,8 @@ func (c Config) withDefaults() Config {
 // mount with Mount, retire with Drain.
 type Service struct {
 	cfg     Config
-	l1, l2  *cache // nil when caching is disabled
+	l1, l2  *cache       // nil when caching is disabled
+	l1seed  maphash.Seed // keys the L1 locator; the L1 never outlives the process
 	flights *flightGroup
 	gate    *gate
 
@@ -147,6 +151,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
+		l1seed:  maphash.MakeSeed(),
 		flights: newFlightGroup(),
 		gate:    newGate(cfg.Concurrency, cfg.QueueDepth),
 
